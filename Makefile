@@ -6,7 +6,7 @@ GO ?= go
 HOTPATH_PKGS = ./internal/eventsim ./internal/wire
 BENCHTIME ?= 2s
 
-.PHONY: fast full fuzz bench bench-sched bench-select bench-shard bench-telemetry bench-fault bench-cdn bench-scenarios bench-compare bench-baseline clean
+.PHONY: fast full fuzz bench bench-sched bench-select bench-shard bench-telemetry bench-fault bench-cdn bench-flow bench-scenarios bench-compare bench-baseline clean
 
 # Fast lane: static checks plus every -short test under the race detector.
 # Scenario-scale tests skip themselves in -short mode, so this finishes in
@@ -191,6 +191,29 @@ bench-cdn:
 	  END { print "\n]" }' bench_cdn.txt > BENCH_cdn.json
 	@echo "wrote BENCH_cdn.json"
 
+# Flow-fidelity benchmarks, exported as BENCH_flow.json: one background-member
+# departure plus its replacement join through the real flow port, row slab
+# and underlay (BenchmarkFlowChurn), beside the SoA swarm tick
+# (BenchmarkFlowTick) so the normalized gate compares churn against a
+# sibling. TestFlowChurnZeroAlloc and TestFlowTickZeroAlloc pin both at
+# 0 allocs/op; this gates their ns/op.
+bench-flow:
+	$(GO) test -run '^$$' -bench 'FlowChurn|FlowTick' -benchmem -benchtime $(BENCHTIME) ./internal/core ./internal/peer | tee bench_flow.txt
+	awk 'BEGIN { print "[" } \
+	  /^Benchmark/ { ns=""; bytes=""; allocs=""; \
+	    for (i = 2; i <= NF; i++) { \
+	      if ($$(i) == "ns/op") ns = $$(i-1); \
+	      if ($$(i) == "B/op") bytes = $$(i-1); \
+	      if ($$(i) == "allocs/op") allocs = $$(i-1); \
+	    } \
+	    if (ns == "") next; \
+	    if (n++) print ","; \
+	    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
+	      $$1, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs); \
+	  } \
+	  END { print "\n]" }' bench_flow.txt > BENCH_flow.json
+	@echo "wrote BENCH_flow.json"
+
 # Perf regression gate (the CI bench-compare lane): re-run both benchmark
 # suites fresh and compare against the committed baselines in bench/baseline/,
 # failing if any benchmark's ns/op regressed by more than 30% relative to its
@@ -198,18 +221,19 @@ bench-cdn:
 # so a uniformly slower or faster machine doesn't trip the gate). Re-baseline
 # after intentional perf changes with `make bench-baseline`.
 bench-compare:
-	$(MAKE) bench bench-sched bench-select bench-telemetry bench-fault bench-cdn BENCHTIME=$(BENCHTIME)
+	$(MAKE) bench bench-sched bench-select bench-telemetry bench-fault bench-cdn bench-flow BENCHTIME=$(BENCHTIME)
 	$(GO) run ./cmd/benchdiff -normalize -threshold 0.30 \
 	  bench/baseline/hotpath.json BENCH_hotpath.json \
 	  bench/baseline/sched.json BENCH_sched.json \
 	  bench/baseline/select.json BENCH_select.json \
 	  bench/baseline/telemetry.json BENCH_telemetry.json \
 	  bench/baseline/fault.json BENCH_fault.json \
-	  bench/baseline/cdn.json BENCH_cdn.json
+	  bench/baseline/cdn.json BENCH_cdn.json \
+	  bench/baseline/flow.json BENCH_flow.json
 
 # Refresh the committed perf baselines from a fresh benchmark run.
 bench-baseline:
-	$(MAKE) bench bench-sched bench-select bench-telemetry bench-fault bench-cdn BENCHTIME=$(BENCHTIME)
+	$(MAKE) bench bench-sched bench-select bench-telemetry bench-fault bench-cdn bench-flow BENCHTIME=$(BENCHTIME)
 	mkdir -p bench/baseline
 	cp BENCH_hotpath.json bench/baseline/hotpath.json
 	cp BENCH_sched.json bench/baseline/sched.json
@@ -217,7 +241,8 @@ bench-baseline:
 	cp BENCH_telemetry.json bench/baseline/telemetry.json
 	cp BENCH_fault.json bench/baseline/fault.json
 	cp BENCH_cdn.json bench/baseline/cdn.json
-	@echo "wrote bench/baseline/{hotpath,sched,select,telemetry,fault,cdn}.json"
+	cp BENCH_flow.json bench/baseline/flow.json
+	@echo "wrote bench/baseline/{hotpath,sched,select,telemetry,fault,cdn,flow}.json"
 
 # Scenario-scale benchmarks: one full simulation per table/figure.
 bench-scenarios:
@@ -227,4 +252,5 @@ clean:
 	rm -f bench_hotpath.txt BENCH_hotpath.json bench_sched.txt BENCH_sched.json \
 	  bench_select.txt BENCH_select.json \
 	  bench_shard.txt BENCH_shard.json bench_telemetry.txt BENCH_telemetry.json \
-	  bench_fault.txt BENCH_fault.json bench_cdn.txt BENCH_cdn.json core.test
+	  bench_fault.txt BENCH_fault.json bench_cdn.txt BENCH_cdn.json \
+	  bench_flow.txt BENCH_flow.json core.test

@@ -49,10 +49,26 @@ type FlowTraffic struct {
 	Aggregate *analysis.Aggregate
 }
 
+const (
+	// flowRowChunkBits sizes the member-host slab's chunks (1024 rows).
+	// Chunks are allocated whole and never move, so a row's *Host stays
+	// valid for the network to hold.
+	flowRowChunkBits = 10
+	flowRowChunk     = 1 << flowRowChunkBits
+)
+
+// flowRow is one swarm row's network attachment: the underlay host every
+// tenant of the row reuses, and the row's receive handler, created once.
+type flowRow struct {
+	host    underlay.Host
+	deliver underlay.Handler
+}
+
 // flowDomain is one shard domain's slice of one channel's flow swarm: the
-// swarm itself, its members' lightweight envs (row-indexed), and the
-// window-local telemetry aggregate its owning worker writes between
-// barriers. It implements peer.FlowPort and simnet.LiteHandler.
+// swarm itself, its members' hosts in a row slab (indexed by swarm row and
+// recycled through the swarm's free list), and the window-local telemetry
+// aggregate its owning worker writes between barriers. It implements
+// peer.FlowPort.
 type flowDomain struct {
 	sim      *Sim
 	ds       *domainState
@@ -62,7 +78,10 @@ type flowDomain struct {
 	initial  int
 
 	swarm *peer.FlowSwarm
-	envs  []*simnet.LiteEnv
+	rows  [][]flowRow // chunked slab: row i is rows[i>>flowRowChunkBits][i&(flowRowChunk-1)]
+	// spawn is spawnMember bound once, so Respawn schedules a join without
+	// allocating a method value per departure.
+	spawn func()
 
 	// Synthetic traffic mix: parallel rows over source ISPs (isp.All()
 	// order) — byte share, representative address, and request RTT.
@@ -81,10 +100,7 @@ type flowDomain struct {
 	total  *FlowTraffic
 }
 
-var (
-	_ peer.FlowPort      = (*flowDomain)(nil)
-	_ simnet.LiteHandler = (*flowDomain)(nil)
-)
+var _ peer.FlowPort = (*flowDomain)(nil)
 
 // buildFlowPopulation creates the flow swarms: per channel and viewer
 // category, the population splits round-robin across the category's shard
@@ -147,7 +163,7 @@ func (s *Sim) buildFlowPopulation(set []ChannelSpec) error {
 					return fmt.Errorf("core: flow swarm %s/%d: %w", dom.Name(), ch.Spec.Channel, err)
 				}
 				fd.swarm = swarm
-				fd.envs = make([]*simnet.LiteEnv, 0, n)
+				fd.spawn = fd.spawnMember
 				s.flows = append(s.flows, fd)
 				fd.ds.dom.At(0, fd.populate)
 			}
@@ -218,28 +234,43 @@ func (fd *flowDomain) populate() {
 	eng.Every(flowBufferMapInterval, fd.swarm.AnnounceLinks)
 }
 
-// spawnMember joins one member: a lightweight host with capacity and
-// processing draws from the owning domain's RNG stream (same distributions
-// as Client viewers), then a swarm row.
+// spawnMember joins one member: capacity and processing draws from the
+// owning domain's RNG stream (same distributions and order as Client
+// viewers), a fresh address, a swarm row, and that row's slab host attached
+// at the address.
 func (fd *flowDomain) spawnMember() {
 	rng := fd.ds.rng
-	env, err := fd.ds.dom.SpawnLite(simnet.HostSpec{
-		ISP:       fd.category,
-		UploadBps: workload.UploadCapacity(rng, fd.category),
-		ProcDelay: workload.ProcDelay(rng),
-	}, fd)
+	up := workload.UploadCapacity(rng, fd.category)
+	proc := workload.ProcDelay(rng)
+	dom := fd.ds.dom
+	addr, err := dom.AllocAddr(fd.category)
 	if err != nil {
 		// Address exhaustion would be a scenario sizing bug; surface loudly.
 		panic(fmt.Sprintf("core: spawn flow member: %v", err))
 	}
-	i := fd.swarm.Add(env.Addr())
-	env.SetIndex(i)
-	if i == len(fd.envs) {
-		fd.envs = append(fd.envs, env)
-	} else {
-		fd.envs[i] = env
+	r := fd.row(fd.swarm.Add(addr))
+	h := &r.host
+	h.Addr, h.ISP, h.UploadBps, h.ProcDelay = addr, fd.category, up, proc
+	if err := dom.AttachHost(h, r.deliver); err != nil {
+		panic(fmt.Sprintf("core: spawn flow member: %v", err))
 	}
 	fd.ds.spawned++
+}
+
+// row returns swarm row i's slab entry, growing the slab and creating the
+// row's handler the first time the row is used.
+func (fd *flowDomain) row(i int) *flowRow {
+	c := i >> flowRowChunkBits
+	if c == len(fd.rows) {
+		fd.rows = append(fd.rows, make([]flowRow, flowRowChunk))
+	}
+	r := &fd.rows[c][i&(flowRowChunk-1)]
+	if r.deliver == nil {
+		r.deliver = func(from netip.Addr, _ int, payload any) {
+			fd.swarm.Handle(i, from, simnet.WireMessage(payload, r.host.Addr))
+		}
+	}
+	return r
 }
 
 // tick advances the swarm one flow interval and books its streamed bytes
@@ -273,21 +304,20 @@ func (fd *flowDomain) tick() {
 func (fd *flowDomain) Now() time.Duration { return fd.ds.dom.Engine().Now() }
 
 // Send implements peer.FlowPort.
-func (fd *flowDomain) Send(i int, to netip.Addr, msg wire.Message) { fd.envs[i].Send(to, msg) }
+func (fd *flowDomain) Send(i int, to netip.Addr, msg wire.Message) {
+	fd.ds.dom.SendFrom(&fd.row(i).host, to, msg)
+}
 
 // UplinkBacklog implements peer.FlowPort.
-func (fd *flowDomain) UplinkBacklog(i int) time.Duration { return fd.envs[i].UplinkBacklog() }
+func (fd *flowDomain) UplinkBacklog(i int) time.Duration {
+	return fd.row(i).host.QueueDelay(fd.Now())
+}
 
 // Retire implements peer.FlowPort.
-func (fd *flowDomain) Retire(i int) { fd.envs[i].Close() }
+func (fd *flowDomain) Retire(i int) { fd.ds.dom.DetachHost(&fd.row(i).host) }
 
 // Respawn implements peer.FlowPort.
-func (fd *flowDomain) Respawn(delay time.Duration) { fd.ds.dom.After(delay, fd.spawnMember) }
-
-// HandleLite implements simnet.LiteHandler.
-func (fd *flowDomain) HandleLite(i int, from netip.Addr, msg wire.Message) {
-	fd.swarm.Handle(i, from, msg)
-}
+func (fd *flowDomain) Respawn(delay time.Duration) { fd.ds.dom.After(delay, fd.spawn) }
 
 // foldFlowWindows merges every dirty window-local flow aggregate into its
 // (channel, category) total. Registered as a barrier hook, so it runs

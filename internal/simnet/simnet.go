@@ -706,15 +706,7 @@ func (e *Env) Send(to netip.Addr, msg wire.Message) {
 	if e.closed {
 		return
 	}
-	size := wire.Size(msg)
-	payload := any(msg)
-	if e.domain.world.CodecCheck {
-		decoded, err := wire.Unmarshal(wire.Marshal(msg))
-		if err != nil {
-			panic(fmt.Sprintf("simnet: codec check failed for %s: %v", msg.Kind(), err))
-		}
-		payload = decoded
-	}
+	size, payload := e.domain.world.encode(msg)
 	for _, tap := range e.sendTaps {
 		tap(to, msg, size)
 	}
@@ -726,10 +718,7 @@ func (e *Env) deliver(from netip.Addr, size int, payload any) {
 	if e.closed {
 		return
 	}
-	msg, ok := payload.(wire.Message)
-	if !ok {
-		panic(fmt.Sprintf("simnet: non-wire payload %T delivered to %s", payload, e.host.Addr))
-	}
+	msg := WireMessage(payload, e.host.Addr)
 	for _, tap := range e.recvTaps {
 		tap(from, msg, size)
 	}
@@ -752,100 +741,61 @@ func (e *Env) Close() {
 // Closed reports whether the env has been closed.
 func (e *Env) Closed() bool { return e.closed }
 
-// LiteHandler receives messages for flow-fidelity swarm members, addressed
-// by member row index instead of per-member handler objects.
-type LiteHandler interface {
-	HandleLite(i int, from netip.Addr, msg wire.Message)
-}
-
-// LiteEnv is the minimal per-host attachment used by flow-fidelity swarm
-// members: an underlay host plus a row index into the owner's flat state. A
-// full Env costs roughly 5KB — almost all of it the per-env rand.Rand — which
-// a million-member background population cannot afford; a LiteEnv adds a few
-// dozen bytes on top of its host. It has no RNG, no timers, and no taps:
-// everything stateful lives in the owning swarm.
-type LiteEnv struct {
-	domain *Domain
-	host   *underlay.Host
-	owner  LiteHandler
-	idx    int32
-	closed bool
-}
-
-// SpawnLite allocates an address in this domain and attaches a lightweight
-// host whose deliveries go to owner.HandleLite. The row index is installed
-// afterwards via SetIndex (owners typically need the address before they can
-// assign a row).
-func (d *Domain) SpawnLite(spec HostSpec, owner LiteHandler) (*LiteEnv, error) {
-	addr, err := d.allocAddr(spec.ISP)
-	if err != nil {
-		return nil, err
-	}
-	host := &underlay.Host{
-		Addr:      addr,
-		ISP:       spec.ISP,
-		UploadBps: spec.UploadBps,
-		ProcDelay: spec.ProcDelay,
-	}
-	env := &LiteEnv{domain: d, host: host, owner: owner, idx: -1}
-	if err := d.net.Attach(host, env.deliver); err != nil {
-		return nil, err
-	}
-	d.envs++
-	return env, nil
-}
-
-// SetIndex installs the owner's row index for this member.
-func (e *LiteEnv) SetIndex(i int) { e.idx = int32(i) }
-
-// Addr returns the member's address.
-func (e *LiteEnv) Addr() netip.Addr { return e.host.Addr }
-
-// Host exposes the underlying underlay host (for stats).
-func (e *LiteEnv) Host() *underlay.Host { return e.host }
-
-// UplinkBacklog is the host's transmit-queue delay now.
-func (e *LiteEnv) UplinkBacklog() time.Duration {
-	return e.host.QueueDelay(e.domain.eng.Now())
-}
-
-// Send transmits a message from this member's host, with the same codec
-// check Env.Send applies.
-func (e *LiteEnv) Send(to netip.Addr, msg wire.Message) {
-	if e.closed {
-		return
-	}
+// encode returns a message's on-the-wire size and the payload to deliver:
+// the message itself, or with CodecCheck its decoded wire round trip.
+func (w *World) encode(msg wire.Message) (int, any) {
 	size := wire.Size(msg)
-	payload := any(msg)
-	if e.domain.world.CodecCheck {
-		decoded, err := wire.Unmarshal(wire.Marshal(msg))
-		if err != nil {
-			panic(fmt.Sprintf("simnet: codec check failed for %s: %v", msg.Kind(), err))
-		}
-		payload = decoded
+	if !w.CodecCheck {
+		return size, msg
 	}
-	e.domain.net.Send(e.host, to, size, payload)
+	decoded, err := wire.Unmarshal(wire.Marshal(msg))
+	if err != nil {
+		panic(fmt.Sprintf("simnet: codec check failed for %s: %v", msg.Kind(), err))
+	}
+	return size, decoded
 }
 
-// deliver is the underlay handler for this member.
-func (e *LiteEnv) deliver(from netip.Addr, size int, payload any) {
-	if e.closed || e.idx < 0 {
-		return
-	}
+// WireMessage returns a delivered payload as the wire message it carries.
+// Every simnet sender delivers wire messages, so anything else is a bug and
+// panics; to names the receiving host in the panic.
+func WireMessage(payload any, to netip.Addr) wire.Message {
 	msg, ok := payload.(wire.Message)
 	if !ok {
-		panic(fmt.Sprintf("simnet: non-wire payload %T delivered to %s", payload, e.host.Addr))
+		panic(fmt.Sprintf("simnet: non-wire payload %T delivered to %s", payload, to))
 	}
-	_ = size
-	e.owner.HandleLite(int(e.idx), from, msg)
+	return msg
 }
 
-// Close detaches the member from the network. It is idempotent.
-func (e *LiteEnv) Close() {
-	if e.closed {
-		return
+// The helpers below serve callers that keep hosts in their own flat storage
+// instead of one Env per node: flow-fidelity swarms hold their members'
+// underlay.Host values in row slabs and re-attach a row for each new tenant.
+
+// AllocAddr allocates a fresh address in this domain for the given ISP
+// category.
+func (d *Domain) AllocAddr(category isp.ISP) (netip.Addr, error) {
+	return d.allocAddr(category)
+}
+
+// AttachHost attaches a caller-owned host to this domain's network with the
+// given receive handler. The host may be one detached earlier; datagrams
+// still in flight to its previous attachment are dropped, not delivered.
+func (d *Domain) AttachHost(h *underlay.Host, handler underlay.Handler) error {
+	if err := d.net.Attach(h, handler); err != nil {
+		return err
 	}
-	e.closed = true
-	e.domain.net.Detach(e.host.Addr)
-	e.domain.envs--
+	d.envs++
+	return nil
+}
+
+// DetachHost detaches a host attached with AttachHost.
+func (d *Domain) DetachHost(h *underlay.Host) {
+	d.net.Detach(h.Addr)
+	d.envs--
+}
+
+// SendFrom transmits a message from an attached host, with the same codec
+// check Env.Send applies.
+func (d *Domain) SendFrom(h *underlay.Host, to netip.Addr, msg wire.Message) {
+	size, payload := d.world.encode(msg)
+	d.net.Send(h, to, size, payload)
 }

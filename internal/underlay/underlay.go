@@ -36,10 +36,13 @@ type Host struct {
 	// at the receiver before the handler runs.
 	ProcDelay time.Duration
 
-	handler     Handler
-	detached    bool // set by Detach; in-flight datagrams check it on arrival
+	handler  Handler
+	detached bool // set by Detach; in-flight datagrams check it on arrival
+	// gen counts attachments. Deliveries carry the gen they were sent to, so
+	// a Host value reused for a new tenant (flow-member row slabs) never
+	// receives a datagram meant for its previous one.
+	gen         uint32
 	upBusyUntil time.Duration
-	queuedBytes int64 // bytes accepted but not yet on the wire
 
 	// Stats.
 	sentDatagrams, recvDatagrams uint64
@@ -204,9 +207,8 @@ type Network struct {
 	// nil (the default) leaves arrivals untouched.
 	remoteFloor func(dstDomain int) time.Duration
 	// hosts is keyed by the packed IPv4 address (hostKey): the lookup sits
-	// on every datagram send, and hashing a uint32 is several times cheaper
-	// than the netip.Addr struct.
-	hosts map[uint32]*Host
+	// on every datagram send.
+	hosts hostTable
 	rng   *rand.Rand
 
 	// freeDeliveries recycles in-flight datagram records; with a
@@ -317,6 +319,7 @@ func (n *Network) FaultDrops() uint64 { return n.droppedFault }
 type delivery struct {
 	n       *Network
 	dst     *Host
+	gen     uint32 // dst.gen at scheduling; a mismatch means a new tenant
 	from    netip.Addr
 	size    int
 	payload any
@@ -327,7 +330,7 @@ type delivery struct {
 var deliverDatagram = func(a any) {
 	d := a.(*delivery)
 	n := d.n
-	if d.dst.detached {
+	if d.dst.detached || d.dst.gen != d.gen {
 		n.droppedNoHost++
 	} else {
 		d.dst.recvDatagrams++
@@ -345,10 +348,9 @@ var deliverDatagram = func(a any) {
 // New creates a network on the given engine.
 func New(eng *eventsim.Engine, cfg Config) *Network {
 	return &Network{
-		eng:   eng,
-		cfg:   cfg,
-		hosts: make(map[uint32]*Host),
-		rng:   eng.NewRand(),
+		eng: eng,
+		cfg: cfg,
+		rng: eng.NewRand(),
 	}
 }
 
@@ -368,7 +370,7 @@ func (n *Network) SetRemoteFloor(fn func(dstDomain int) time.Duration) {
 	n.remoteFloor = fn
 }
 
-// hostKey packs an IPv4 address into the hosts map key. The simulation's
+// hostKey packs an IPv4 address into the hosts table key. The simulation's
 // address plan is IPv4-only; non-IPv4 folds to 0, which is never allocated.
 func hostKey(a netip.Addr) uint32 {
 	if !a.Is4() {
@@ -379,9 +381,12 @@ func hostKey(a netip.Addr) uint32 {
 }
 
 // Attach registers a host and its receive handler. Attaching an address that
-// is already attached returns an error.
+// is already attached returns an error. A Host value may be attached again
+// after Detach, at any address: it starts with an empty uplink queue and
+// zeroed counters, and datagrams still in flight to its earlier attachment
+// are dropped as droppedNoHost, never delivered to the new one.
 func (n *Network) Attach(h *Host, handler Handler) error {
-	if _, ok := n.hosts[hostKey(h.Addr)]; ok {
+	if n.hosts.get(hostKey(h.Addr)) != nil {
 		return fmt.Errorf("underlay: address %s already attached", h.Addr)
 	}
 	if h.UploadBps <= 0 {
@@ -389,27 +394,29 @@ func (n *Network) Attach(h *Host, handler Handler) error {
 	}
 	h.handler = handler
 	h.detached = false
-	n.hosts[hostKey(h.Addr)] = h
+	h.gen++
+	h.upBusyUntil = 0
+	h.sentDatagrams, h.sentBytes, h.recvDatagrams, h.recvBytes = 0, 0, 0, 0
+	n.hosts.put(hostKey(h.Addr), h)
 	return nil
 }
 
 // Detach removes a host; subsequent datagrams to it are silently dropped,
 // like UDP to a departed peer.
 func (n *Network) Detach(addr netip.Addr) {
-	if h, ok := n.hosts[hostKey(addr)]; ok {
+	if h := n.hosts.del(hostKey(addr)); h != nil {
 		h.detached = true
-		delete(n.hosts, hostKey(addr))
 	}
 }
 
 // Lookup returns the attached host for addr, if any.
 func (n *Network) Lookup(addr netip.Addr) (*Host, bool) {
-	h, ok := n.hosts[hostKey(addr)]
-	return h, ok
+	h := n.hosts.get(hostKey(addr))
+	return h, h != nil
 }
 
 // NumHosts returns the number of currently attached hosts.
-func (n *Network) NumHosts() int { return len(n.hosts) }
+func (n *Network) NumHosts() int { return n.hosts.n }
 
 // Stats reports delivery counters: delivered datagrams and the three drop
 // classes (random loss, sender queue overflow, destination not attached).
@@ -477,8 +484,8 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 	// Random loss along the path. The destination's ISP must be resolvable
 	// even if it detaches before arrival; use the current view, falling back
 	// to dropping on unknown destinations at send time.
-	dst, ok := n.hosts[hostKey(to)]
-	if !ok {
+	dst := n.hosts.get(hostKey(to))
+	if dst == nil {
 		if n.router != nil {
 			if rem, rok := n.router.Resolve(to); rok && rem.Domain != n.domainID {
 				return n.sendRemote(from, to, rem, departure, size, payload)
@@ -563,8 +570,8 @@ func (n *Network) sendRemote(from *Host, to netip.Addr, rem Remote, departure ti
 // missing destination counts as droppedNoHost on this (the destination)
 // shard.
 func (n *Network) Inject(arrival time.Duration, from, to netip.Addr, size int, payload any) {
-	dst, ok := n.hosts[hostKey(to)]
-	if !ok {
+	dst := n.hosts.get(hostKey(to))
+	if dst == nil {
 		n.droppedNoHost++
 		return
 	}
@@ -580,6 +587,6 @@ func (n *Network) scheduleDelivery(dst *Host, from netip.Addr, size int, payload
 	} else {
 		d = &delivery{}
 	}
-	d.n, d.dst, d.from, d.size, d.payload = n, dst, from, size, payload
+	d.n, d.dst, d.gen, d.from, d.size, d.payload = n, dst, dst.gen, from, size, payload
 	n.eng.AtArg(arrival, deliverDatagram, d)
 }
